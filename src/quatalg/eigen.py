@@ -26,9 +26,6 @@ from .genpoly import GenPoly, gen_matmul, gen_matsub
 from .isomorphism import h_inv
 from .matquat import MatD, embed_matrix, mat_inv, mat_is_invertible, reduced_norm
 
-# entries of the symbolic embedded matrix are degree <= 1 polynomials over K
-SymbolicLinearMatrix = list  # list[list[CommPoly]]
-
 
 def build_symbolic(mat: MatD):
     """The 2k x 2k matrix of embed(A) - embed(lambda*I) with symbolic lambda.
@@ -177,7 +174,8 @@ def quadratic_2x2(mat: MatD) -> GenPoly:
     For [[a, b], [c, d]] with c != 0 this is c(a - z)c^-1(d - z) - cb.
     When c = 0 the matrix is triangular and the eigenvalues are exactly
     the diagonal entries; that case raises OffDiagonalZero carrying
-    them instead of returning a polynomial.
+    them instead of returning a polynomial.  A nonzero c with zero
+    reduced norm, which only split algebras have, raises NotInvertible.
     """
     if mat.k != 2:
         raise DimensionMismatch("need a 2x2 matrix")

@@ -2,17 +2,24 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatalg import (
     HAMILTON,
     AlgebraParams,
+    CommPoly,
     DimensionMismatch,
+    KElem,
     MatD,
+    MatK,
     NotInvertible,
     Quat,
     UnsupportedAlgebra,
+    comm_det,
     dieudonne_det,
     embed_matrix,
     mat_inv,
@@ -173,3 +180,124 @@ def test_mat_inv_round_trip():
             assert inv * mat == MatD.identity(H, k)
     with pytest.raises(NotInvertible):
         mat_inv(MatD.zeros(H, 2))
+
+
+# division algebras, a split one, and rational, non-square and square a
+DIFF_PARAMS = [(-1, -1), (-2, -3), (1, 1), (Fraction(1, 2), -5), (4, -3), (2, 3)]
+
+
+def _cofactor_det(mat: MatK) -> KElem:
+    # the symbolic cofactor engine on constant entries
+    det = comm_det([[CommPoly.const(x) for x in row] for row in mat.rows])
+    return det.terms.get((0, 0, 0, 0), KElem.zero(mat.a))
+
+
+def _rand_rational_quat(rng, params):
+    return Quat(params, *[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))) for _ in range(4)])
+
+
+def _diff_cases(rng, params, k):
+    yield rand_matd(rng, k, params)
+    yield MatD(params, [[_rand_rational_quat(rng, params) for _ in range(k)] for _ in range(k)])
+    if k > 1:
+        # last row a left multiple of the first; then a zero first column
+        rows = [[_rand_rational_quat(rng, params) for _ in range(k)] for _ in range(k)]
+        factor = rand_quat(rng, params)
+        rows[-1] = [factor * x for x in rows[0]]
+        yield MatD(params, rows)
+        zero = Quat.zero(params)
+        yield MatD(params, [[zero] + row[1:] for row in rows[::-1]])
+
+
+@pytest.mark.parametrize("ab", DIFF_PARAMS, ids=str)
+def test_reduced_norm_matches_cofactor_route(ab):
+    params = AlgebraParams(*ab)
+    rng = random.Random(27)
+    for k in range(1, 6):
+        for mat in _diff_cases(rng, params, k):
+            expected = _cofactor_det(embed_matrix(mat))
+            assert expected.v == 0
+            assert reduced_norm(mat) == expected.u
+
+
+@pytest.mark.parametrize("a", [-1, Fraction(-3, 4), 1, 4, Fraction(9, 4), Fraction(2, 7)], ids=str)
+def test_k_det_matches_cofactor_route(a):
+    # general matrices over K, whose determinants have i-parts too
+    a = Fraction(a)
+    rng = random.Random(28)
+
+    def entry():
+        return KElem(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))),
+                     Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7))), a)
+
+    for m in range(1, 7):
+        mat = MatK(a, [[entry() for _ in range(m)] for _ in range(m)])
+        assert mat.det() == _cofactor_det(mat)
+    # rows 1 + i and a + i = i(1 + i) are proportional when i^2 = a
+    one, i = KElem.one(a), KElem(0, 1, a)
+    assert MatK(a, [[one, one + i], [i, KElem(a, 1, a)]]).det() == KElem.zero(a)
+    with pytest.raises(DimensionMismatch):
+        MatK(a, []).det()
+
+
+def test_reduced_norm_of_split_example():
+    # invertible, though no entry of column 0 is (1 + i and 1 - i are zero divisors)
+    params = AlgebraParams(1, 1)
+    p, q = Quat(params, 1, 1, 0, 0), Quat(params, 1, -1, 0, 0)
+    assert reduced_norm(MatD(params, [[p, q], [q, p]])) == -16
+
+
+small_coords = st.integers(-3, 3)
+
+
+def _matrices(params, k):
+    quat = st.tuples(small_coords, small_coords, small_coords, small_coords).map(
+        lambda t: Quat(params, *t))
+    row = st.lists(quat, min_size=k, max_size=k)
+    return st.lists(row, min_size=k, max_size=k).map(lambda rows: MatD(params, rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_reduced_norm_multiplicative_property(data):
+    ab = data.draw(st.sampled_from([(-2, -3), (1, 1), (Fraction(1, 2), -5), (4, -3), (2, 3)]))
+    params = AlgebraParams(*ab)
+    k = data.draw(st.integers(1, 4))
+    a = data.draw(_matrices(params, k))
+    b = data.draw(_matrices(params, k))
+    assert reduced_norm(a * b) == reduced_norm(a) * reduced_norm(b)
+
+
+def test_reduced_norm_multiplicative_at_k12():
+    # far beyond the 2^(2k) column subsets of the cofactor route
+    rng = random.Random(29)
+    for params in (H, AlgebraParams(-2, -3), AlgebraParams(1, 1)):
+        a = rand_matd(rng, 12, params)
+        b = rand_matd(rng, 12, params)
+        assert reduced_norm(a * b) == reduced_norm(a) * reduced_norm(b)
+
+
+def _complex_adjoint_det(mat: MatD):
+    # independent oracle: det of [[A1, A2], [-conj(A2), conj(A1)]] over Q(i)
+    from sympy import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    k = mat.k
+    grid = [[None] * (2 * k) for _ in range(2 * k)]
+    for r in range(k):
+        for c in range(k):
+            c1, c2, c3, c4 = mat.entry(r, c).coords
+            grid[r][c] = QQ_I(c1, c2)
+            grid[r][c + k] = QQ_I(c3, c4)
+            grid[r + k][c] = QQ_I(-c3, c4)
+            grid[r + k][c + k] = QQ_I(c1, -c2)
+    det = DomainMatrix(grid, (2 * k, 2 * k), QQ_I).det()
+    assert det.y == 0
+    return Fraction(int(det.x.numerator), int(det.x.denominator))
+
+
+def test_reduced_norm_matches_complex_adjoint_oracle():
+    rng = random.Random(30)
+    for k in range(1, 7):
+        for mat in _diff_cases(rng, H, k):
+            assert reduced_norm(mat) == _complex_adjoint_det(mat)
