@@ -233,7 +233,7 @@ def test_k_det_matches_cofactor_route(a):
     for m in range(1, 7):
         mat = MatK(a, [[entry() for _ in range(m)] for _ in range(m)])
         assert mat.det() == _cofactor_det(mat)
-    # rows 1 + i and a + i = i(1 + i) are proportional when i^2 = a
+    # the second row [i, a + i] is i times the first [1, 1 + i], as i^2 = a
     one, i = KElem.one(a), KElem(0, 1, a)
     assert MatK(a, [[one, one + i], [i, KElem(a, 1, a)]]).det() == KElem.zero(a)
     with pytest.raises(DimensionMismatch):
