@@ -245,6 +245,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"IOError: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        # deeply nested input; exit 1 would read as eigcheck's "not an eigenvalue"
+        print("RecursionError: input is nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,6 +6,9 @@ words to nonzero rational coefficients, so equality of polynomials is
 dict equality.  Coefficients from the algebra are expanded through the
 basis at construction time, which makes the stored form canonical:
 dz^2, zdz and z^2d are three different words for non-central d.
+
+Substitution runs on the exact integer array kernel of `quatalg._kernels`
+in every algebra, on an array form built once per polynomial.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .errors import DimensionMismatch
 class GenPoly:
     """Element of the general polynomial ring over (a,b/F)."""
 
-    __slots__ = ("params", "terms", "_dense")
+    __slots__ = ("params", "terms", "_arrays")
 
     def __init__(self, params: AlgebraParams, terms=None):
         self.params = params
@@ -32,7 +35,7 @@ class GenPoly:
                 c = as_scalar(coeff)
                 if c:
                     self.terms[word] = c
-        self._dense = None
+        self._arrays = None
 
     @classmethod
     def _make(cls, params, terms: dict):
@@ -40,7 +43,7 @@ class GenPoly:
         self = object.__new__(cls)
         self.params = params
         self.terms = terms
-        self._dense = None
+        self._arrays = None
         return self
 
     @classmethod
@@ -167,35 +170,16 @@ class GenPoly:
 
         Substitution at any point of the algebra is a ring homomorphism
         on this ring; that property is what distinguishes it from the
-        left-coefficient polynomial ring.
+        left-coefficient polynomial ring.  The first call builds the
+        array form that later calls reuse (h_inv hands it over ready).
         """
         if d.params != self.params:
             raise ValueError("substitution point lives in a different algebra")
-        from . import _fast
+        from . import _kernels
 
-        coords = _fast.substitute(self, d)
-        if coords is not None:
-            return Quat._make(self.params, coords)
-        return self._substitute_generic(d)
-
-    def _substitute_generic(self, d: Quat) -> Quat:
-        params = self.params
-        memo: dict[tuple, Quat] = {}
-
-        def value(word):
-            got = memo.get(word)
-            if got is None:
-                if len(word) == 1:
-                    got = Quat.basis(params, word[0])
-                else:
-                    got = value(word[:-1]) * d * Quat.basis(params, word[-1])
-                memo[word] = got
-            return got
-
-        total = Quat.zero(params)
-        for word, coeff in self.terms.items():
-            total = total + value(word) * coeff
-        return total
+        if self._arrays is None:
+            self._arrays = _kernels.word_arrays(self.terms)
+        return Quat._make(self.params, _kernels.substitute(self._arrays, self.params.table, d.coords))
 
     def conj(self) -> "GenPoly":
         """Conjugation operator: P -> (-P + i P i^-1 + j P j^-1 + ij P (ij)^-1)/2.

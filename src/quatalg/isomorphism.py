@@ -5,15 +5,20 @@ Its inverse is determined by the preimages q_k of the four generators,
 which are found by a conjugation-annihilation search: starting from
 p = z, each step kills at least one surviving monomial of h(p) while
 keeping the x_k coefficient alive, until a single term remains.
+
+Every preimage has the shape q_g = sum_s C[g][s] e_s z e_(s^g), checked
+once per algebra, and h_inv runs on the exact integer array kernel of
+`quatalg._kernels` in every algebra (int64, or residues and the CRT).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .algebra import AlgebraParams, Quat
-from .errors import AlgorithmFailure, NotInvertible
+from .errors import AlgorithmFailure, InternalInvariant, NotInvertible
 from .freepoly import FreePoly
 from .genpoly import GenPoly
 
@@ -144,37 +149,37 @@ def preimage_generator(k: int, params: AlgebraParams) -> GenPoly:
     return _generators(params)[k - 1]
 
 
+@lru_cache(maxsize=None)
+def _step_table(params: AlgebraParams):
+    """h_inv's step weights: (W, D) with W[c][s][g] = D T[c][s] C[g][s] integral.
+
+    Checks that every preimage has the shape q_g = sum_s C[g][s] e_s z e_(s^g)."""
+    coeffs = []
+    for g, q in enumerate(generators(params)):
+        row = {word[0]: c for word, c in q.terms.items() if len(word) == 2 and word[1] == word[0] ^ g}
+        if len(q.terms) != 4 or len(row) != 4:
+            raise InternalInvariant(f"preimage of x{g + 1} is not of the form sum_s c_s e_s z e_(s^{g})")
+        coeffs.append(row)
+    rational = [[[params.table[c][s][0] * coeffs[g][s] for g in range(4)] for s in range(4)]
+                for c in range(4)]
+    scale = lcm(*(w.denominator for plane in rational for row in plane for w in row))
+    weights = tuple(tuple(tuple(int(w * scale) for w in row) for row in plane)
+                    for plane in rational)
+    return weights, scale
+
+
 def h_inv(poly: FreePoly) -> GenPoly:
     """Apply the inverse isomorphism to a free polynomial.
 
     A monomial c * e_beta * x_{w1}..x_{wn} maps to
-    c * e_beta * q_{w1} * ... * q_{wn}, extended linearly.
+    c * e_beta * q_{w1} * ... * q_{wn}, extended linearly.  The result
+    carries its array form, so substituting into it builds nothing.
     """
     params = poly.params
-    qs = generators(params)
+    weights, scale = _step_table(params)
+    from . import _kernels
 
-    from . import _fast
-
-    fast = _fast.h_inv(poly, qs)
-    if fast is not None:
-        terms, dense = fast
-        out = GenPoly._make(params, terms)
-        out._dense = dense
-        return out
-
-    cache: dict[tuple, GenPoly] = {(): GenPoly.one(params)}
-
-    def product(word):
-        got = cache.get(word)
-        if got is None:
-            got = product(word[:-1]) * qs[word[-1] - 1]
-            cache[word] = got
-        return got
-
-    acc: dict = {}
-    for (beta, word), coeff in poly.terms.items():
-        left = GenPoly.from_quat(Quat.basis(params, beta) * coeff)
-        for w, c in (left * product(word)).terms.items():
-            s = acc.get(w)
-            acc[w] = c if s is None else s + c
-    return GenPoly._make(params, {w: c for w, c in acc.items() if c})
+    terms, arrays = _kernels.h_inv(poly.terms, weights, scale)
+    out = GenPoly._make(params, terms)
+    out._arrays = arrays
+    return out

@@ -180,6 +180,13 @@ def test_error_reporting(tmp_path, capsys):
     assert "IOError" in capsys.readouterr().err
 
 
+def test_deep_nesting_is_an_error_not_a_verdict(capsys):
+    poly = "(" * 3000 + "z" + ")" * 3000
+    assert main(["eval", "--poly", poly, "--at", "i"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("RecursionError:") and err.count("\n") == 1
+
+
 def test_algebra_flag(capsys):
     assert main(["eval", "--poly", "i*i", "--at", "0", "--algebra", "2,-3"]) == 0
     assert capsys.readouterr().out.strip() == "2"

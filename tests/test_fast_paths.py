@@ -1,43 +1,66 @@
-"""The vectorized kernels must agree exactly with the generic routes."""
+"""The array kernels of `substitute` and `h_inv` against reference loops.
+
+The references are the Fraction-by-Fraction routes the kernels replaced:
+substitution walks every word through a prefix memo, and h_inv expands
+e_beta * q_w1 * ... * q_wn with `GenPoly` products.  Coordinates up to
+1e30 push both kernels past int64 onto several primes and the CRT.
+"""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
-from quatalg import HAMILTON, FreePoly, GenPoly, Quat, generators
-from quatalg import _fast
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import rand_freepoly
+from quatalg import (
+    HAMILTON,
+    AlgebraParams,
+    FreePoly,
+    GenPoly,
+    InternalInvariant,
+    Quat,
+    generators,
+    h_inv,
+    h_map,
+)
+from quatalg import isomorphism
 
-H = HAMILTON
+from conftest import rand_genpoly
 
-
-def _bulk_genpoly(rng, max_degree, terms):
-    out = {}
-    for _ in range(terms):
-        deg = rng.randint(0, max_degree)
-        word = tuple(rng.randint(0, 3) for _ in range(deg + 1))
-        out[word] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4, 8)))
-    return GenPoly(H, out)
-
-
-def test_substitute_fast_vs_generic():
-    rng = random.Random(41)
-    for _ in range(25):
-        poly = _bulk_genpoly(rng, 4, 60)
-        lam = Quat(H, *[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)])
-        fast = _fast.substitute(poly, lam)
-        assert fast is not None
-        assert Quat._make(H, fast) == poly._substitute_generic(lam)
-
-
-def test_substitute_fast_declines_small_polys():
-    poly = GenPoly.z(H)
-    assert poly._dense is None
-    assert _fast.substitute(poly, Quat.one(H)) is None
+PARAMS = [
+    HAMILTON,
+    AlgebraParams(-2, -3),
+    AlgebraParams(1, 1),
+    AlgebraParams(Fraction(1, 2), -5),
+    AlgebraParams(7, Fraction(-3, 5)),
+]
+NON_HAMILTON = PARAMS[1:]
 
 
-def _h_inv_generic(poly, qs):
-    cache = {(): GenPoly.one(H)}
+def _substitute_reference(poly, d):
+    params = poly.params
+    memo = {}
+    total = Quat.zero(params)
+    for word, coeff in poly.terms.items():
+        value = Quat.basis(params, word[0])
+        for end in range(2, len(word) + 1):
+            prefix = word[:end]
+            got = memo.get(prefix)
+            if got is None:
+                got = value * d * Quat.basis(params, word[end - 1])
+                memo[prefix] = got
+            value = got
+        total = total + value * coeff
+    return total
+
+
+def _h_inv_reference(poly):
+    params = poly.params
+    qs = generators(params)
+    cache = {(): GenPoly.one(params)}
 
     def product(word):
         got = cache.get(word)
@@ -48,43 +71,102 @@ def _h_inv_generic(poly, qs):
 
     acc = {}
     for (beta, word), coeff in poly.terms.items():
-        left = GenPoly.from_quat(Quat.basis(H, beta) * coeff)
+        left = GenPoly.from_quat(Quat.basis(params, beta) * coeff)
         for w, c in (left * product(word)).terms.items():
             s = acc.get(w)
             acc[w] = c if s is None else s + c
     return {w: c for w, c in acc.items() if c}
 
 
-def _bulk_freepoly(rng, max_degree, terms):
+def _coeff(rng, big):
+    num = rng.randint(-big, big) or 1
+    return Fraction(num, rng.choice((1, 2, 3, 4, 8, 9)))
+
+
+def _bulk_genpoly(rng, params, max_degree, terms, big):
+    out = {}
+    for _ in range(terms):
+        deg = rng.randint(0, max_degree)
+        out[tuple(rng.randint(0, 3) for _ in range(deg + 1))] = _coeff(rng, big)
+    return GenPoly(params, out)
+
+
+def _bulk_freepoly(rng, params, max_degree, terms, big):
     out = {}
     while len(out) < terms:
         deg = rng.randint(0, max_degree)
-        word = tuple(rng.randint(1, 4) for _ in range(deg))
-        key = (rng.randint(0, 3), word)
-        out[key] = Fraction(rng.randint(1, 9) * rng.choice((-1, 1)), rng.choice((1, 2, 4)))
-    return FreePoly(H, out)
+        key = (rng.randint(0, 3), tuple(rng.randint(1, 4) for _ in range(deg)))
+        out[key] = _coeff(rng, big)
+    return FreePoly(params, out)
+
+
+def _point(rng, params, big):
+    return Quat(params, *[Fraction(rng.randint(-big, big), rng.randint(1, 5)) for _ in range(4)])
+
+
+def test_substitute_fast_vs_generic():
+    rng = random.Random(41)
+    for params in PARAMS:
+        for big in (4, 10**6, 10**30):
+            for _ in range(4):
+                poly = _bulk_genpoly(rng, params, 4, 40, big)
+                for scale in (3, 10**30):
+                    lam = _point(rng, params, scale)
+                    assert poly.substitute(lam) == _substitute_reference(poly, lam)
 
 
 def test_h_inv_fast_vs_generic():
     rng = random.Random(42)
-    qs = generators(H)
-    for _ in range(15):
-        poly = _bulk_freepoly(rng, 4, 45)
-        out = _fast.h_inv(poly, qs)
-        assert out is not None
-        terms, dense = out
-        assert terms == _h_inv_generic(poly, qs)
-        # the attached dense cache evaluates consistently too
-        wrapped = GenPoly._make(H, terms)
-        wrapped._dense = dense
-        lam = Quat(H, 1, -2, 0, 3)
-        assert wrapped.substitute(lam) == wrapped._substitute_generic(lam)
+    for params in PARAMS:
+        for big in (9, 10**30):
+            for _ in range(4):
+                poly = _bulk_freepoly(rng, params, 4, 30, big)
+                got = h_inv(poly)
+                assert got.terms == _h_inv_reference(poly)
+                # the array form handed over by h_inv evaluates like the terms
+                lam = _point(rng, params, 4)
+                assert got.substitute(lam) == _substitute_reference(got, lam)
 
 
-def test_h_inv_fast_declines_other_algebras():
-    from quatalg import AlgebraParams
+@pytest.mark.parametrize("params", PARAMS, ids=repr)
+def test_degenerate_polynomials(params):
+    lam = Quat(params, 2, -1, 3, Fraction(1, 2))
+    zero = GenPoly.zero(params)
+    assert zero.substitute(lam) == Quat.zero(params)
+    assert h_inv(FreePoly.zero(params)) == zero
+    const = GenPoly.from_quat(Quat(params, 1, Fraction(-2, 3), 0, 5))
+    assert const.substitute(lam) == Quat(params, 1, Fraction(-2, 3), 0, 5)
+    assert h_inv(h_map(const)) == const
+    # one sparse word of 40 letters, beyond any packed base-4 index
+    rng = random.Random(44)
+    word = tuple(rng.randint(0, 3) for _ in range(41))
+    sparse = GenPoly(params, {word: Fraction(3, 7), (2, 0): 5})
+    assert sparse.substitute(lam) == _substitute_reference(sparse, lam)
+    assert sparse.substitute(Quat.zero(params)) == _substitute_reference(sparse, Quat.zero(params))
 
-    params = AlgebraParams(-2, -3)
-    qs = generators(params)
-    poly = rand_freepoly(random.Random(43), params=params, max_degree=2, terms=40)
-    assert _fast.h_inv(poly, qs) is None
+
+def test_generator_shape_is_checked(monkeypatch):
+    params = AlgebraParams(-5, -7)
+    real = generators(params)
+    bad = (real[0] + GenPoly(params, {(0, 1): 1}),) + real[1:]
+    isomorphism._step_table.cache_clear()
+    monkeypatch.setattr(isomorphism, "generators", lambda p: bad)
+    with pytest.raises(InternalInvariant):
+        h_inv(FreePoly.x(params, 1))
+
+
+def test_import_does_not_load_numpy():
+    code = "import quatalg, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_round_trip_and_homomorphism_property(data):
+    params = data.draw(st.sampled_from(NON_HAMILTON), label="params")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    p = rand_genpoly(rng, params, max_degree=3, terms=8)
+    q = rand_genpoly(rng, params, max_degree=2, terms=6)
+    x = _point(rng, params, data.draw(st.sampled_from([3, 10**12]), label="size"))
+    assert h_inv(h_map(p)) == p
+    assert (p * q).substitute(x) == p.substitute(x) * q.substitute(x)
