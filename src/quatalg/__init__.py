@@ -28,6 +28,7 @@ from .eigen import (
 from .errors import (
     AlgorithmFailure,
     BlockNotInvertible,
+    BudgetExceeded,
     DimensionMismatch,
     DivisionByZeroLiteral,
     InternalInvariant,
@@ -109,6 +110,7 @@ __all__ = [
     "NotInBaseField",
     "AlgorithmFailure",
     "BlockNotInvertible",
+    "BudgetExceeded",
     "OffDiagonalZero",
     "ParseError",
     "DivisionByZeroLiteral",

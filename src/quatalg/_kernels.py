@@ -1,4 +1,4 @@
-"""Exact integer array kernels behind `GenPoly.substitute` and `h_inv`.
+"""Exact integer array kernels behind `GenPoly.substitute`, `h_map` and `h_inv`.
 
 One kernel per operation serves every algebra (a,b), magnitude and word
 length.  Basis products land on the XOR of their indices,
@@ -6,8 +6,12 @@ e_x e_y = T[x][y] e_(x^y), so with each rational table scaled by the lcm
 of its denominators the work is integer array arithmetic.  Substitution
 contracts a polynomial's sorted words right to left, summing the rows
 that share a prefix and multiplying each group by the integer matrix of
-e_b * lambda.  h_inv steps a dense base-4 array once per variable
-position through the generator table (see `_expand`).
+e_b * lambda.  Both directions of the isomorphism are one step per
+variable position on a dense base-4 array (`_expand`, run per degree by
+`step_image`), with two tables: h's forward table and h_inv's generator
+table.  The image of a degree-n word has 4^n terms, so the dense array
+is at most four times the output; degrees above MAX_STEP_DEGREE raise
+BudgetExceeded before anything is allocated.
 
 Exactness rule: every partial sum is bounded before any work starts.
 Below 2^62 one plain int64 pass is exact; above it the kernel runs
@@ -20,11 +24,17 @@ with it numpy, only inside the functions that call it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm, prod
 
 import numpy as np
 
+from .errors import BudgetExceeded
+
 _INT64_EXACT = 1 << 62
+# the dense step array of degree n has 4^(n+1) int64 entries, 32 MiB at
+# n = 10, the top degree of a k = 5 char poly
+MAX_STEP_DEGREE = 10
 
 
 def _moduli(bound: int) -> list:
@@ -157,17 +167,18 @@ def substitute(arrays, table, point) -> tuple:
 def _expand(n: int, index, nums, weights, modulus):
     """The dense degree-n image of the monomials at ``index``.
 
-    With the generator preimages q_g = sum_s C[g][s] e_s z e_(s^g),
-    e_c q_g = sum_s T[c][s] C[g][s] e_(c^s) z e_(s^g).  Before step t the
-    array is indexed by (o_0..o_(t-1), carry c, g_(t+1), g_(t+2)..g_n);
-    the step replaces the pair (c, g) by (c^s, s^g) with weight
-    weights[c][s][g] = scale * T[c][s] C[g][s], four sources per target.
+    Before step t the array is indexed by (o_0..o_(t-1), carry c,
+    g_(t+1), g_(t+2)..g_n); the step replaces the pair (c, g) by the
+    output digit and the next carry, (c^u, u^g), with weight
+    weights[c][u][g], four sources per target.  Both directions of the
+    isomorphism are this step with their own table (see
+    `quatalg.isomorphism._step_table` and `_forward_table`).
     """
     pairs = np.arange(16)
     steps = []
-    for s in range(4):
-        c, g = (pairs >> 2) ^ s, (pairs & 3) ^ s
-        steps.append((c * 4 + g, weights[c, s, g]))
+    for u in range(4):
+        c, g = (pairs >> 2) ^ u, (pairs & 3) ^ u
+        steps.append((c * 4 + g, weights[c, u, g]))
     x = np.zeros(4 ** (n + 1), dtype=np.int64)
     x[index] = nums
     for t in range(n):
@@ -181,26 +192,31 @@ def _expand(n: int, index, nums, weights, modulus):
     return x.reshape(-1)
 
 
-def h_inv(terms: dict, weights, scale: int):
-    """Terms and array form of the general polynomial whose h-image is ``terms``.
+def step_image(pairs, weights, scale: int, keys):
+    """Terms of the linear map that steps every degree through ``weights``.
 
-    ``terms`` maps (beta, variable word) to coefficients; see `_expand`
-    for ``weights`` and ``scale``.
+    ``pairs`` yields (digits, coefficient) with digits = (d_0, .., d_n)
+    the base-4 index of a degree-n monomial, most significant first (the
+    index layout); ``keys`` turns the n+1 digit arrays of the nonzero
+    outputs into their keys (the key layout).  The table is integral
+    with scale ``scale``, so a degree-n output carries den * scale^n.
+    Returns the terms and, per degree, (digit arrays, integer values,
+    denominator).  Raises BudgetExceeded, before any array is allocated,
+    when some degree exceeds MAX_STEP_DEGREE.
     """
-    out: dict = {}
-    const = [Fraction(0)] * 4
     by_degree: dict[int, list] = {}
-    for (beta, word), coeff in terms.items():
-        if word:
-            by_degree.setdefault(len(word), []).append((beta, word, coeff))
-        else:
-            const[beta] = out[(beta,)] = coeff
+    for digits, coeff in pairs:
+        by_degree.setdefault(len(digits) - 1, []).append((digits, coeff))
+    top = max(by_degree, default=0)
+    if top > MAX_STEP_DEGREE:
+        raise BudgetExceeded(f"degree {top} needs a dense array of 4^{top + 1} entries; "
+                             f"the limit is degree {MAX_STEP_DEGREE}")
     wmax = max(abs(w) for plane in weights for row in plane for w in row)
+    out: dict = {}
     degrees = []
     for n, items in sorted(by_degree.items()):
-        den, nums = _integral([c for _, _, c in items])
-        index = [sum((letter - 1) << (2 * (n - t)) for t, letter in enumerate(word, 1))
-                 + (beta << (2 * n)) for beta, word, _ in items]
+        den, nums = _integral([c for _, c in items])
+        index = np.array([d for d, _ in items], dtype=np.int64) @ (4 ** np.arange(n, -1, -1))
 
         def kernel(vals, table, modulus, n=n, index=index):
             return _expand(n, index, vals, table, modulus)
@@ -210,10 +226,45 @@ def h_inv(terms: dict, weights, scale: int):
         if not nz.size:
             continue
         vals = acc[nz].tolist()
-        digits = [(nz >> (2 * (n - t))) & 3 for t in range(n + 1)]
+        digits = [((nz >> (2 * (n - t))) & 3).astype(np.int8) for t in range(n + 1)]
         out_den = den * scale ** n
         # char polys repeat few distinct coefficients: build each Fraction once
         fracs = {v: Fraction(v, out_den) for v in set(vals)}
-        out.update(zip(zip(*(d.tolist() for d in digits)), map(fracs.__getitem__, vals)))
-        degrees.append(_Degree(np.stack(digits, axis=1).astype(np.int8), vals, out_den))
-    return out, (tuple(const), degrees)
+        out.update(zip(keys(digits), map(fracs.__getitem__, vals)))
+        degrees.append((digits, vals, out_den))
+    return out, degrees
+
+
+def _gen_keys(digits):
+    """General-polynomial words: the digits are the letters."""
+    return zip(*(d.tolist() for d in digits))
+
+
+def _free_keys(digits):
+    """Free monomials (beta, word): the last digit is the carry beta, and
+    an output digit s stands for the variable x_(s+1)."""
+    *letters, beta = digits
+    words = zip(*((d + 1).tolist() for d in letters)) if letters else repeat(())
+    return zip(beta.tolist(), words)
+
+
+def h_map(terms: dict, weights, scale: int) -> dict:
+    """Terms of h(P) for a general polynomial P with these terms.
+
+    ``weights`` and ``scale`` are h's forward table; a word
+    (b_0, .., b_n) is its own index."""
+    return step_image(terms.items(), weights, scale, _free_keys)[0]
+
+
+def h_inv(terms: dict, weights, scale: int):
+    """Terms and array form of the general polynomial whose h-image is ``terms``.
+
+    ``terms`` maps (beta, variable word) to coefficients, indexed as
+    (beta, w_1 - 1, .., w_n - 1); ``weights`` and ``scale`` are the
+    generator table."""
+    pairs = (((beta, *(w - 1 for w in word)), c) for (beta, word), c in terms.items())
+    out, degrees = step_image(pairs, weights, scale, _gen_keys)
+    const = tuple(out.get((b,), Fraction(0)) for b in range(4))
+    arrays = [_Degree(np.stack(digits, axis=1), vals, den)
+              for digits, vals, den in degrees if len(digits) > 1]
+    return out, (const, arrays)

@@ -29,6 +29,10 @@ class AlgorithmFailure(QuatAlgError):
     """The generator-preimage search exhausted every branch."""
 
 
+class BudgetExceeded(QuatAlgError):
+    """An input would need more memory than a kernel admits; raised before any work."""
+
+
 class BlockNotInvertible(QuatAlgError):
     """The lower-left block of the 4x4 reduction is singular."""
 

@@ -6,9 +6,14 @@ which are found by a conjugation-annihilation search: starting from
 p = z, each step kills at least one surviving monomial of h(p) while
 keeping the x_k coefficient alive, until a single term remains.
 
-Every preimage has the shape q_g = sum_s C[g][s] e_s z e_(s^g), checked
-once per algebra, and h_inv runs on the exact integer array kernel of
-`quatalg._kernels` in every algebra (int64, or residues and the CRT).
+Both directions are one step per variable position on a dense base-4
+array (`quatalg._kernels.step_image`), exact in every algebra (int64,
+or residues and the CRT), with two tables.  h multiplies by
+X = sum_s e_s x_(s+1) and then by the next letter (`_forward_table`).
+h_inv multiplies by the preimages, which all have the shape
+q_g = sum_s C[g][s] e_s z e_(s^g), checked once per algebra
+(`_step_table`).  The generator search reads the degree-one image of h
+from the forward table in plain Python, without numpy.
 """
 
 from __future__ import annotations
@@ -32,45 +37,59 @@ def h_z(params: AlgebraParams) -> FreePoly:
 
 
 def h_map(poly: GenPoly) -> FreePoly:
-    """Apply the homomorphism h to a general polynomial."""
+    """Apply the homomorphism h to a general polynomial.
+
+    Runs on the same step kernel as h_inv, with h's forward table.
+    Raises BudgetExceeded for degrees above `_kernels.MAX_STEP_DEGREE`.
+    """
     params = poly.params
-    # X * e_b for each basis letter, precomputed; prefixes of words are shared
-    x_poly = h_z(params)
-    ext = tuple(x_poly * FreePoly.from_quat(Quat.basis(params, b)) for b in range(4))
-    cache: dict[tuple, FreePoly] = {}
+    weights, scale = _forward_table(params)
+    from . import _kernels
 
-    def prefix_value(word):
-        got = cache.get(word)
-        if got is None:
-            if len(word) == 1:
-                got = FreePoly.from_quat(Quat.basis(params, word[0]))
-            else:
-                got = prefix_value(word[:-1]) * ext[word[-1]]
-            cache[word] = got
-        return got
-
-    acc: dict = {}
-    for word, coeff in poly.terms.items():
-        for key, c in prefix_value(word).terms.items():
-            s = acc.get(key)
-            v = c * coeff
-            acc[key] = v if s is None else s + v
-    return FreePoly._make(params, {k: c for k, c in acc.items() if c})
+    return FreePoly._make(params, _kernels.h_map(poly.terms, weights, scale))
 
 
-def _linear_coeffs(poly: FreePoly) -> dict[int, Quat]:
-    """Coefficients d_m with poly = sum d_m x_m, for degree-one polynomials."""
-    params = poly.params
+def _integral_table(rational):
+    """(W, D): a 4x4x4 table of Fractions scaled by the lcm D of its denominators."""
+    scale = lcm(*(w.denominator for plane in rational for row in plane for w in row))
+    weights = tuple(tuple(tuple(int(w * scale) for w in row) for row in plane)
+                    for plane in rational)
+    return weights, scale
+
+
+@lru_cache(maxsize=None)
+def _forward_table(params: AlgebraParams):
+    """h's step weights: (W, D) with W[c][u][b] = D T[c][c^u] T[u][b] integral.
+
+    With X = sum_s e_s x_(s+1), e_c X e_b = sum_s T[c][s] T[c^s][b]
+    e_(c^s^b) x_(s+1): writing u = c^s, one position takes the carry c
+    and the letter b to the output digit c^u and the carry u^b.
+    """
+    table = params.table
+    return _integral_table([[[table[c][c ^ u][0] * table[u][b][0] for b in range(4)]
+                             for u in range(4)] for c in range(4)])
+
+
+def _linear_image(p: GenPoly) -> dict[int, Quat]:
+    """Coefficients d_m with h(p) = sum d_m x_m, for p homogeneous of degree one.
+
+    The forward table applied to the words (c, b) in plain Python, so
+    the generator search never loads numpy.
+    """
+    params = p.params
+    weights, scale = _forward_table(params)
     coords: dict[int, list] = {}
-    for (beta, word), c in poly.terms.items():
-        if len(word) != 1:
+    for word, coeff in p.terms.items():
+        if len(word) != 2:
             raise ValueError("polynomial is not homogeneous of degree one")
-        m = word[0]
-        cur = coords.setdefault(m, [Fraction(0)] * 4)
-        cur[beta] += c
+        c, b = word
+        for u in range(4):
+            w = weights[c][u][b]
+            if w:
+                coords.setdefault((c ^ u) + 1, [0] * 4)[u ^ b] += coeff * w
     out = {}
     for m, cs in coords.items():
-        q = Quat._make(params, tuple(cs))
+        q = Quat._make(params, tuple(Fraction(x, scale) for x in cs))
         if q:
             out[m] = q
     return out
@@ -78,7 +97,7 @@ def _linear_coeffs(poly: FreePoly) -> dict[int, Quat]:
 
 def _annihilate(p: GenPoly, k: int, params: AlgebraParams):
     """Depth-first search over the deterministic move order; None = dead branch."""
-    d = _linear_coeffs(h_map(p))
+    d = _linear_image(p)
     c = d.get(k)
     if c is None:
         return None
@@ -131,7 +150,7 @@ def _generators(params: AlgebraParams):
         q = _annihilate(GenPoly.z(params), k, params)
         if q is None:
             raise AlgorithmFailure(f"no preimage of x{k} found for {params!r}")
-        if h_map(q) != FreePoly.x(params, k):
+        if _linear_image(q) != {k: Quat.one(params)}:
             raise AlgorithmFailure(f"candidate preimage of x{k} failed verification")
         out.append(q)
     return tuple(out)
@@ -160,12 +179,8 @@ def _step_table(params: AlgebraParams):
         if len(q.terms) != 4 or len(row) != 4:
             raise InternalInvariant(f"preimage of x{g + 1} is not of the form sum_s c_s e_s z e_(s^{g})")
         coeffs.append(row)
-    rational = [[[params.table[c][s][0] * coeffs[g][s] for g in range(4)] for s in range(4)]
-                for c in range(4)]
-    scale = lcm(*(w.denominator for plane in rational for row in plane for w in row))
-    weights = tuple(tuple(tuple(int(w * scale) for w in row) for row in plane)
-                    for plane in rational)
-    return weights, scale
+    return _integral_table([[[params.table[c][s][0] * coeffs[g][s] for g in range(4)]
+                             for s in range(4)] for c in range(4)])
 
 
 def h_inv(poly: FreePoly) -> GenPoly:

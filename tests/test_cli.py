@@ -187,6 +187,13 @@ def test_deep_nesting_is_an_error_not_a_verdict(capsys):
     assert err.startswith("RecursionError:") and err.count("\n") == 1
 
 
+def test_hmap_of_a_long_word_is_a_budget_error(capsys):
+    poly = "*z*".join(["i", "j", "k"] * 500)
+    assert main(["hmap", "--poly", poly]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("BudgetExceeded:") and err.count("\n") == 1
+
+
 def test_algebra_flag(capsys):
     assert main(["eval", "--poly", "i*i", "--at", "0", "--algebra", "2,-3"]) == 0
     assert capsys.readouterr().out.strip() == "2"

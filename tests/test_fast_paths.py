@@ -1,9 +1,11 @@
-"""The array kernels of `substitute` and `h_inv` against reference loops.
+"""The array kernels of `substitute`, `h_map` and `h_inv` against reference loops.
 
 The references are the Fraction-by-Fraction routes the kernels replaced:
-substitution walks every word through a prefix memo, and h_inv expands
-e_beta * q_w1 * ... * q_wn with `GenPoly` products.  Coordinates up to
-1e30 push both kernels past int64 onto several primes and the CRT.
+substitution walks every word through a prefix memo, h_map multiplies
+e_b0 * X * e_b1 * ... * X * e_bn as `FreePoly` products through a prefix
+memo, and h_inv expands e_beta * q_w1 * ... * q_wn with `GenPoly`
+products.  Coordinates up to 1e30 push the kernels past int64 onto
+several moduli and the CRT.
 """
 
 import random
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from quatalg import (
     HAMILTON,
     AlgebraParams,
+    BudgetExceeded,
     FreePoly,
     GenPoly,
     InternalInvariant,
@@ -25,6 +28,7 @@ from quatalg import (
     generators,
     h_inv,
     h_map,
+    h_z,
 )
 from quatalg import isomorphism
 
@@ -55,6 +59,32 @@ def _substitute_reference(poly, d):
             value = got
         total = total + value * coeff
     return total
+
+
+def _h_map_reference(poly):
+    params = poly.params
+    # X * e_b for each basis letter; prefixes of words are shared
+    x_poly = h_z(params)
+    ext = tuple(x_poly * FreePoly.from_quat(Quat.basis(params, b)) for b in range(4))
+    cache = {}
+
+    def prefix_value(word):
+        got = cache.get(word)
+        if got is None:
+            if len(word) == 1:
+                got = FreePoly.from_quat(Quat.basis(params, word[0]))
+            else:
+                got = prefix_value(word[:-1]) * ext[word[-1]]
+            cache[word] = got
+        return got
+
+    acc = {}
+    for word, coeff in poly.terms.items():
+        for key, c in prefix_value(word).terms.items():
+            s = acc.get(key)
+            v = c * coeff
+            acc[key] = v if s is None else s + v
+    return {k: c for k, c in acc.items() if c}
 
 
 def _h_inv_reference(poly):
@@ -128,6 +158,50 @@ def test_h_inv_fast_vs_generic():
                 assert got.substitute(lam) == _substitute_reference(got, lam)
 
 
+def test_h_map_fast_vs_generic():
+    rng = random.Random(43)
+    for params in PARAMS:
+        for big in (9, 10**30):
+            for _ in range(3):
+                poly = _bulk_genpoly(rng, params, 5, 30, big)
+                assert h_map(poly).terms == _h_map_reference(poly)
+
+
+def test_linear_image_matches_h_map():
+    rng = random.Random(45)
+    for params in PARAMS:
+        for _ in range(10):
+            words = [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(1, 6))]
+            p = GenPoly(params, {w: _coeff(rng, 10**6) for w in words})
+            image = {(beta, (m,)): c for m, q in isomorphism._linear_image(p).items()
+                     for beta, c in enumerate(q.coords) if c}
+            assert image == h_map(p).terms
+
+
+def test_generator_search_does_not_load_numpy():
+    code = ("import sys; from quatalg import AlgebraParams, generators; from quatalg import cli; "
+            "generators(AlgebraParams(-2, -3)); "
+            "assert cli.main(['hinv', '--algebra=5,-7', '--var', '2']) == 0; "
+            "assert 'numpy' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60, stdout=subprocess.DEVNULL)
+
+
+def test_step_kernel_budget():
+    # a degree-n word needs 4^(n+1) dense entries: n = 14 alone is 8 GiB,
+    # so each of these must be refused before any allocation
+    long_word = GenPoly(HAMILTON, {(1, 2, 3) * 500: 1})
+    with pytest.raises(BudgetExceeded):
+        h_map(long_word)
+    rng = random.Random(46)
+    word = tuple(rng.randint(0, 3) for _ in range(41))
+    with pytest.raises(BudgetExceeded):
+        h_map(GenPoly(HAMILTON, {word: 1, (2,): 3}))
+    for letters in (14, 41):
+        free = FreePoly(HAMILTON, {(1, tuple(rng.randint(1, 4) for _ in range(letters))): 1})
+        with pytest.raises(BudgetExceeded):
+            h_inv(free)
+
+
 @pytest.mark.parametrize("params", PARAMS, ids=repr)
 def test_degenerate_polynomials(params):
     lam = Quat(params, 2, -1, 3, Fraction(1, 2))
@@ -169,4 +243,5 @@ def test_round_trip_and_homomorphism_property(data):
     q = rand_genpoly(rng, params, max_degree=2, terms=6)
     x = _point(rng, params, data.draw(st.sampled_from([3, 10**12]), label="size"))
     assert h_inv(h_map(p)) == p
+    assert h_map(p * q) == h_map(p) * h_map(q)
     assert (p * q).substitute(x) == p.substitute(x) * q.substitute(x)

@@ -11,6 +11,10 @@ from quatalg import (
     FreePoly,
     GenPoly,
     Quat,
+    build_symbolic,
+    char_poly,
+    comm_det,
+    comm_to_free_lift,
     generators,
     h_inv,
     h_map,
@@ -18,7 +22,7 @@ from quatalg import (
     preimage_generator,
 )
 
-from conftest import rand_freepoly, rand_genpoly
+from conftest import rand_freepoly, rand_genpoly, rand_matd
 
 H = HAMILTON
 I, J, K = Quat.basis(H, 1), Quat.basis(H, 2), Quat.basis(H, 3)
@@ -124,3 +128,16 @@ def test_degree_preservation():
             assert got == expected or (expected == 0 and got == 0)
         else:
             assert got == expected
+
+
+@pytest.mark.parametrize(
+    "params, k",
+    [(H, 3), (H, 4), (AlgebraParams(-2, -3), 3), (AlgebraParams(1, 1), 3),
+     (AlgebraParams(Fraction(1, 2), -5), 3)],
+    ids=repr,
+)
+def test_char_poly_round_trip(params, k):
+    # the paper's round trip at char-poly scale: h(h_inv(lift(det))) = lift(det)
+    mat = rand_matd(random.Random(19 + k), k, params)
+    lifted = comm_to_free_lift(comm_det(build_symbolic(mat)), params)
+    assert h_map(char_poly(mat)) == lifted
