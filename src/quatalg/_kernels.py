@@ -29,6 +29,7 @@ from math import gcd, lcm, prod
 
 import numpy as np
 
+from .algebra import _integral
 from .errors import BudgetExceeded
 
 _INT64_EXACT = 1 << 62
@@ -74,12 +75,6 @@ def _run(bound: int, nums, table, kernel) -> np.ndarray:
     table = np.array(table, dtype=object)
     return _crt([kernel(np.remainder(nums, m).astype(np.int64),
                         np.remainder(table, m).astype(np.int64), m) for m in moduli], moduli)
-
-
-def _integral(coeffs):
-    """Common denominator and integer numerators of some Fractions."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 class _Degree:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 
 from .errors import NotInvertible
 
@@ -60,6 +61,12 @@ def as_scalar(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _integral(coeffs):
+    """Common denominator and integer numerators of some Fractions."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
 @lru_cache(maxsize=None)
 def _mul_table(a: Fraction, b: Fraction):
     table = []
@@ -99,6 +106,16 @@ class AlgebraParams:
     def table(self):
         """4x4 table: table[x][y] = (coeff, index) with e_x e_y = coeff * e_index."""
         return _mul_table(self.a, self.b)
+
+    @cached_property
+    def int_table(self):
+        """(scale, rows): rows[x][y] = (scale * coeff, index), all integers.
+
+        scale is the lcm of the table's denominators, so integer products
+        through rows carry exactly one extra factor of scale.
+        """
+        scale, nums = _integral([c for row in self.table for c, _ in row])
+        return scale, tuple(tuple((nums[4 * x + y], x ^ y) for y in range(4)) for x in range(4))
 
     def __repr__(self):
         return f"AlgebraParams({self.a}, {self.b})"

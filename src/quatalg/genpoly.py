@@ -7,6 +7,13 @@ dict equality.  Coefficients from the algebra are expanded through the
 basis at construction time, which makes the stored form canonical:
 dz^2, zdz and z^2d are three different words for non-central d.
 
+Products run on integer numerators in pure Python: each operand is
+cleared to one common denominator, the right operand's words are grouped
+by first letter, and each pair of boundary letters merges through the
+algebra's integer table (`AlgebraParams.int_table`) into one dict of
+ints; each distinct output numerator becomes one `Fraction`.  The
+parser multiplies, so products never import numpy.
+
 Substitution runs on the exact integer array kernel of `quatalg._kernels`
 in every algebra, on an array form built once per polynomial.
 """
@@ -15,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import AlgebraParams, Quat, as_scalar
+from .algebra import AlgebraParams, Quat, _integral, as_scalar
 from .errors import DimensionMismatch
 
 
@@ -125,19 +132,38 @@ class GenPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        table = self.params.table
+        scale, table = self.params.int_table
+        lden, lnums = _integral(self.terms.values())
+        rden, rnums = _integral(other.terms.values())
+        # group the right words by first letter, so each pair of boundary
+        # letters, e_x e_y = T[x][y] e_(x^y), is looked up once per left word
+        groups = [[], [], [], []]
+        for word, m in zip(other.terms, rnums):
+            groups[word[0]].append((word[1:], m))
+        groups = [(y, g) for y, g in enumerate(groups) if g]
         acc = {}
-        for wu, cu in self.terms.items():
-            head = wu[:-1]
-            row = table[wu[-1]]
-            for wv, cv in other.terms.items():
-                # the two boundary basis letters merge: e_x e_y = s*e_(x^y)
-                coeff, idx = row[wv[0]]
-                word = head + (idx,) + wv[1:]
-                c = cu * cv * coeff
-                s = acc.get(word)
-                acc[word] = c if s is None else s + c
-        return GenPoly._make(self.params, {w: c for w, c in acc.items() if c})
+        get = acc.get
+        for word, n in zip(self.terms, lnums):
+            head = word[:-1]
+            row = table[word[-1]]
+            for y, group in groups:
+                t, idx = row[y]
+                f = n * t
+                head_idx = head + (idx,)
+                for tail, m in group:
+                    key = head_idx + tail
+                    acc[key] = get(key, 0) + f * m
+        den = lden * rden * scale
+        # one Fraction per distinct numerator; ints hash much faster than Fractions
+        fracs = {}
+        terms = {}
+        for key, n in acc.items():
+            if n:
+                c = fracs.get(n)
+                if c is None:
+                    c = fracs[n] = Fraction(n, den)
+                terms[key] = c
+        return GenPoly._make(self.params, terms)
 
     def __rmul__(self, other):
         other = self._coerce(other)

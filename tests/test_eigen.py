@@ -1,11 +1,13 @@
 """Characteristic polynomials, planted eigenpairs, and the 4x4 reduction."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from quatalg import (
     HAMILTON,
+    AlgebraParams,
     BlockNotInvertible,
     GenPoly,
     MatD,
@@ -24,6 +26,7 @@ from quatalg import (
 )
 
 from conftest import rand_matd, rand_nonzero_quat, rand_quat
+from test_fast_paths import _mul_reference
 
 H = HAMILTON
 I, J, K = Quat.basis(H, 1), Quat.basis(H, 2), Quat.basis(H, 3)
@@ -159,9 +162,9 @@ def test_schur_closed_form_case():
     assert char_poly(mat).degree() == 8
 
 
-def _rand_4x4_with_invertible_c(rng, plant=None):
+def _rand_4x4_with_invertible_c(rng, plant=None, params=H):
     while True:
-        mat = rand_matd(rng, 4)
+        mat = rand_matd(rng, 4, params)
         if plant is not None:
             lam, vec = plant
             mat = plant_eigenpair(mat, vec, lam)
@@ -170,23 +173,27 @@ def _rand_4x4_with_invertible_c(rng, plant=None):
             return mat
 
 
-def test_schur_sextic_degrees_and_equivalence():
+def test_schur_sextic_degrees_and_equivalence(monkeypatch):
     rng = random.Random(34)
-    for trial in range(3):
-        lam = rand_quat(rng)
-        vec = tuple(rand_nonzero_quat(rng) for _ in range(4))
-        mat = _rand_4x4_with_invertible_c(rng, plant=(lam, vec))
-        data = schur_sextic(mat)
-        for poly in (data.e, data.f, data.g, data.h):
-            d = poly.degree()
-            assert d is None or d <= 2
-        assert data.sextic.degree() == 6
-        assert sextic_eigen_test(data, lam)
-        assert is_left_eigenvalue(mat, lam)
-        for _ in range(4):
-            probe = rand_quat(rng)
-            expected = reduced_norm(_shift(mat, probe)) == 0
-            assert sextic_eigen_test(data, probe) == expected
+    for params, trials in ((H, 3), (AlgebraParams(-2, -3), 2), (AlgebraParams(Fraction(1, 2), -5), 2)):
+        for _ in range(trials):
+            lam = rand_quat(rng, params)
+            vec = tuple(rand_nonzero_quat(rng, params) for _ in range(4))
+            mat = _rand_4x4_with_invertible_c(rng, plant=(lam, vec), params=params)
+            data = schur_sextic(mat)
+            for poly in (data.e, data.f, data.g, data.h):
+                d = poly.degree()
+                assert d is None or d <= 2
+            assert data.sextic.degree() == 6
+            assert sextic_eigen_test(data, lam)
+            assert is_left_eigenvalue(mat, lam)
+            for _ in range(4):
+                probe = rand_quat(rng, params)
+                expected = reduced_norm(_shift(mat, probe)) == 0
+                assert sextic_eigen_test(data, probe) == expected
+    # the last sextic, (1/2,-5), once more on the Fraction-by-Fraction product
+    monkeypatch.setattr(GenPoly, "__mul__", lambda p, q: _mul_reference(p, p._coerce(q)))
+    assert schur_sextic(mat).sextic == data.sextic
 
 
 def test_schur_rejects_singular_c():

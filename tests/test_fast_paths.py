@@ -1,6 +1,8 @@
-"""The array kernels of `substitute`, `h_map` and `h_inv` against reference loops.
+"""The exact kernels of `GenPoly` products, `substitute`, `h_map` and `h_inv`
+against reference loops.
 
 The references are the Fraction-by-Fraction routes the kernels replaced:
+the product merges each pair of boundary letters one Fraction at a time,
 substitution walks every word through a prefix memo, h_map multiplies
 e_b0 * X * e_b1 * ... * X * e_bn as `FreePoly` products through a prefix
 memo, and h_inv expands e_beta * q_w1 * ... * q_wn with `GenPoly`
@@ -42,6 +44,22 @@ PARAMS = [
     AlgebraParams(7, Fraction(-3, 5)),
 ]
 NON_HAMILTON = PARAMS[1:]
+
+
+def _mul_reference(p, q):
+    table = p.params.table
+    acc = {}
+    for wu, cu in p.terms.items():
+        head = wu[:-1]
+        row = table[wu[-1]]
+        for wv, cv in q.terms.items():
+            # the two boundary basis letters merge: e_x e_y = s*e_(x^y)
+            coeff, idx = row[wv[0]]
+            word = head + (idx,) + wv[1:]
+            c = cu * cv * coeff
+            s = acc.get(word)
+            acc[word] = c if s is None else s + c
+    return GenPoly._make(p.params, {w: c for w, c in acc.items() if c})
 
 
 def _substitute_reference(poly, d):
@@ -130,8 +148,73 @@ def _bulk_freepoly(rng, params, max_degree, terms, big):
     return FreePoly(params, out)
 
 
+def _wide_coeff(rng, big):
+    return Fraction(rng.randint(-big, big) or 1, rng.randint(1, big))
+
+
 def _point(rng, params, big):
     return Quat(params, *[Fraction(rng.randint(-big, big), rng.randint(1, 5)) for _ in range(4)])
+
+
+def _as_genpoly(params, x):
+    if isinstance(x, GenPoly):
+        return x
+    if isinstance(x, Quat):
+        return GenPoly.from_quat(x)
+    return GenPoly.constant(params, x)
+
+
+def _check_mul(p, q):
+    params = p.params if isinstance(p, GenPoly) else q.params
+    got = p * q
+    assert isinstance(got, GenPoly)
+    assert got == _mul_reference(_as_genpoly(params, p), _as_genpoly(params, q))
+    assert all(c for c in got.terms.values())
+
+
+@pytest.mark.parametrize("params", PARAMS, ids=repr)
+def test_mul_fast_vs_generic(params):
+    rng = random.Random(47)
+    for big in (9, 10**6, 10**30):
+        for _ in range(4):
+            # numerators and denominators both up to big
+            p = GenPoly(params, {tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 6))):
+                                 _wide_coeff(rng, big) for _ in range(12)})
+            q = _bulk_genpoly(rng, params, 5, 10, big)
+            _check_mul(p, q)
+            _check_mul(q, p)
+            _check_mul(p, p)
+    zero, one = GenPoly.zero(params), GenPoly.one(params)
+    p = _bulk_genpoly(rng, params, 3, 8, 10**30)
+    lam = _point(rng, params, 10**30)
+    for other in (zero, one, GenPoly.constant(params, Fraction(-7, 10**30 + 1)), lam,
+                  Quat.zero(params), 3, 0, Fraction(10**30, 7)):
+        _check_mul(p, other)
+        _check_mul(other, p)
+        _check_mul(zero, other)
+    assert (p * zero).terms == {} and (zero * p).terms == {}
+    # z i + z j times b i z - a j z: the z*z terms cancel, ab - ab = 0
+    a, b = params.a, params.b
+    left = GenPoly(params, {(0, 1): 1, (0, 2): 1})
+    right = GenPoly(params, {(1, 0): b, (2, 0): -a})
+    _check_mul(left, right)
+    assert (0, 0, 0) not in (left * right).terms
+    # one sparse word of 41 letters on either side
+    word = tuple(rng.randint(0, 3) for _ in range(41))
+    long = GenPoly(params, {word: Fraction(3, 7), (2, 0): 5})
+    _check_mul(long, p)
+    _check_mul(p, long)
+    _check_mul(long, long)
+
+
+def test_mul_cancels_to_zero_in_a_split_algebra():
+    # (1+i)(1-i) = 1 - a = 0 in (1,1): z(1+i) * (1-i)z is the zero polynomial
+    params = AlgebraParams(1, 1)
+    left = GenPoly(params, {(0, 0): 1, (0, 1): 1})
+    right = GenPoly(params, {(0, 0): 1, (1, 0): -1})
+    assert (left * right).terms == {}
+    assert _mul_reference(left, right).terms == {}
+    assert (Quat(params, 1, 1, 0, 0) * right).terms == {}
 
 
 def test_substitute_fast_vs_generic():
@@ -184,6 +267,18 @@ def test_generator_search_does_not_load_numpy():
             "assert cli.main(['hinv', '--algebra=5,-7', '--var', '2']) == 0; "
             "assert 'numpy' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60, stdout=subprocess.DEVNULL)
+
+
+def test_products_do_not_load_numpy():
+    # the parser multiplies GenPolys, and numeric eigcheck/nrd reach it
+    code = ("import sys; from quatalg import HAMILTON, MatD, parse_quat, quadratic_2x2, schur_sextic; "
+            "q = parse_quat('1/2 + 3*i*j - k', HAMILTON); "
+            "rows = [[parse_quat(f'{r} + {c}*i - j', HAMILTON) for c in range(4)] for r in range(4)]; "
+            "rows[2][0] = rows[2][0] + q; "
+            "assert quadratic_2x2(MatD(HAMILTON, [r[:2] for r in rows[:2]])).degree() == 2; "
+            "assert schur_sextic(MatD(HAMILTON, rows)).sextic.degree() == 6; "
+            "assert 'numpy' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 def test_step_kernel_budget():
@@ -241,7 +336,10 @@ def test_round_trip_and_homomorphism_property(data):
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     p = rand_genpoly(rng, params, max_degree=3, terms=8)
     q = rand_genpoly(rng, params, max_degree=2, terms=6)
+    r = rand_genpoly(rng, params, max_degree=2, terms=6)
     x = _point(rng, params, data.draw(st.sampled_from([3, 10**12]), label="size"))
     assert h_inv(h_map(p)) == p
     assert h_map(p * q) == h_map(p) * h_map(q)
     assert (p * q).substitute(x) == p.substitute(x) * q.substitute(x)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
