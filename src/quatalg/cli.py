@@ -33,7 +33,7 @@ from .errors import (
     QuatAlgError,
 )
 from .isomorphism import h_map, preimage_generator
-from .matquat import MatD, dieudonne_det, reduced_norm
+from .matquat import MatD, _shift, dieudonne_det, reduced_norm
 from .parsing import (
     format_free_poly,
     format_poly,
@@ -149,8 +149,7 @@ def _cmd_charpoly(args) -> int:
 def _cmd_eigcheck(args) -> int:
     mat = load_matrix(args.matrix)
     lam = parse_quat(args.lam, mat.params)
-    shifted = mat - MatD.identity(mat.params, mat.k).scale_left(lam)
-    nrd = reduced_norm(shifted)
+    nrd = reduced_norm(_shift(mat, lam))
     print(format_scalar(nrd))
     return 0 if nrd == 0 else 1
 

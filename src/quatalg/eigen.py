@@ -24,7 +24,7 @@ from .errors import BlockNotInvertible, DimensionMismatch, NotInvertible, OffDia
 from .freepoly import CommPoly, comm_det, comm_to_free_lift
 from .genpoly import GenPoly, gen_matmul, gen_matsub
 from .isomorphism import h_inv
-from .matquat import MatD, embed_matrix, mat_inv, mat_is_invertible, reduced_norm
+from .matquat import MatD, _shift, embed_matrix, mat_inv, mat_is_invertible, reduced_norm
 
 
 def build_symbolic(mat: MatD):
@@ -69,8 +69,7 @@ def char_poly(mat: MatD) -> GenPoly:
 
 def is_left_eigenvalue(mat: MatD, lam: Quat) -> bool:
     """Exact test: the reduced norm of mat - lam*I vanishes."""
-    shifted = mat - MatD.identity(mat.params, mat.k).scale_left(lam)
-    return reduced_norm(shifted) == 0
+    return reduced_norm(_shift(mat, lam)) == 0
 
 
 def plant_eigenpair(base: MatD, vec, lam: Quat, pivot: int | None = None) -> MatD:

@@ -116,7 +116,18 @@ class GenPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.__add__(-other)
+        terms = dict(self.terms)
+        for word, c in other.terms.items():
+            s = terms.get(word)
+            if s is None:
+                terms[word] = -c
+            else:
+                s = s - c
+                if s:
+                    terms[word] = s
+                else:
+                    del terms[word]
+        return GenPoly._make(self.params, terms)
 
     def __neg__(self):
         return GenPoly._make(self.params, {w: -c for w, c in self.terms.items()})

@@ -8,6 +8,14 @@ the image (always a rational) is the reduced norm.  MatK.det computes
 it by Bareiss's fraction-free elimination over Z[j], j = q*i for
 a = p/q, in O(k^3) big-integer operations for every (a, b), split
 algebras included.
+
+mat_inv is Gauss-Jordan elimination on the algebra itself, in integers:
+each row of [M | I] is cleared once to integer quaternions, products go
+through the algebra's integer table, and no pivot is ever inverted, so
+the only Fractions are the k^2 entries of the result.  Its pivot is the
+first entry of nonzero reduced norm down the column, then along the
+later columns; a split algebra can still refuse an invertible matrix
+whose remaining block has only entries of norm zero.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .algebra import AlgebraParams, KElem, Quat, quat_halves
+from .algebra import AlgebraParams, KElem, Quat, _integral, quat_halves
 from .errors import (
     DimensionMismatch,
     InternalInvariant,
@@ -305,6 +313,14 @@ def embed_matrix(mat: MatD) -> MatK:
     return MatK(a, out)
 
 
+def _shift(mat: MatD, lam: Quat) -> MatD:
+    """mat - lam*I, subtracting lam on the diagonal only."""
+    rows = [list(row) for row in mat.rows]
+    for r, row in enumerate(rows):
+        row[r] = row[r] - lam
+    return MatD(mat.params, rows)
+
+
 def reduced_norm(mat: MatD) -> Fraction:
     """Determinant of the embedded matrix, returned as an exact rational.
 
@@ -340,35 +356,108 @@ def mat_is_invertible(mat: MatD) -> bool:
     return reduced_norm(mat) != 0
 
 
-def mat_inv(mat: MatD) -> MatD:
-    """Two-sided inverse by Gauss-Jordan elimination over the algebra.
+def _int_quat_ops(params: AlgebraParams):
+    """Product and norm of integer quaternions (4-tuples) in the algebra.
 
-    Pivots must have nonzero reduced norm; in a division algebra that is
-    every nonzero entry, so the routine is total on invertible input.
+    Both go through `AlgebraParams.int_table`, so each carries exactly one
+    extra factor of its scale: mul(p, q) = scale*p*q and
+    norm(p) = scale*nrd(p), all in integers.
+    """
+    (t00, t01, t02, t03, t10, t11, t12, t13,
+     t20, t21, t22, t23, t30, t31, t32, t33) = [t for row in params.int_table[1] for t, _ in row]
+
+    def mul(p, q):
+        # e_x e_y lands on e_(x^y)
+        p0, p1, p2, p3 = p
+        q0, q1, q2, q3 = q
+        return (
+            t00 * p0 * q0 + t11 * p1 * q1 + t22 * p2 * q2 + t33 * p3 * q3,
+            t01 * p0 * q1 + t10 * p1 * q0 + t23 * p2 * q3 + t32 * p3 * q2,
+            t02 * p0 * q2 + t20 * p2 * q0 + t13 * p1 * q3 + t31 * p3 * q1,
+            t03 * p0 * q3 + t30 * p3 * q0 + t12 * p1 * q2 + t21 * p2 * q1,
+        )
+
+    def norm(p):
+        # real part of p*conj(p)
+        p0, p1, p2, p3 = p
+        return t00 * p0 * p0 - t11 * p1 * p1 - t22 * p2 * p2 - t33 * p3 * p3
+
+    return mul, norm
+
+
+_ZQ = (0, 0, 0, 0)
+
+
+def mat_inv(mat: MatD) -> MatD:
+    """Two-sided inverse by Gauss-Jordan elimination on integer rows.
+
+    Each row of [M | I] is cleared once to integer quaternions.  With
+    pivot P, N = scale*nrd(P) and f a row's entry in the pivot column,
+    the row becomes (scale*N)*row - (f*conj(P))*pivot_row, divided by the
+    gcd of its integers.  Rows stay left multiples w*row of the rows the
+    Fraction elimination would hold, so row r of the inverse is
+    conj(w_r)*A_r/(scale*nrd(w_r)), w_r its diagonal entry and A_r its
+    right half.
+
+    The pivot is the first entry of nonzero reduced norm down the column;
+    when there is none, the later columns of the remaining block are
+    searched in order and the first one with such an entry is swapped in
+    (the inverse's rows are un-permuted at the end).  A division algebra
+    never needs the search, and every invertible matrix inverts.  In a
+    split algebra NotInvertible is also raised on an invertible matrix
+    whose remaining block has only entries of norm zero, such as
+    [[1+i, 1-i], [1-i, 1+i]] in (1,1) (reduced norm -16).
     """
     params = mat.params
     k = mat.k
-    work = [list(row) for row in mat.rows]
-    aug = [list(row) for row in MatD.identity(params, k).rows]
+    mul, norm = _int_quat_ops(params)
+    scale = params.int_table[0]
+    rows = []
+    for r, row in enumerate(mat.rows):
+        den, nums = _integral([c for q in row for c in q.coords])
+        unit = [_ZQ] * k
+        unit[r] = (den, 0, 0, 0)
+        rows.append([tuple(nums[4 * c:4 * c + 4]) for c in range(k)] + unit)
+    perm = list(range(k))
     for col in range(k):
-        pivot = None
-        for r in range(col, k):
-            if work[r][col].nrd() != 0:
-                pivot = r
+        found = None
+        for c in range(col, k):
+            found = next((r for r in range(col, k) if norm(rows[r][c])), None)
+            if found is not None:
                 break
-        if pivot is None:
+        if found is None:
             raise NotInvertible("no invertible pivot in column %d" % col)
-        work[col], work[pivot] = work[pivot], work[col]
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = work[col][col].inv()
-        work[col] = [inv * x for x in work[col]]
-        aug[col] = [inv * x for x in aug[col]]
+        if c != col:
+            perm[col], perm[c] = perm[c], perm[col]
+            for row in rows:
+                row[col], row[c] = row[c], row[col]
+        rows[col], rows[found] = rows[found], rows[col]
+        piv = rows[col]
+        p = piv[col]
+        s = scale * norm(p)
+        pc = (p[0], -p[1], -p[2], -p[3])
+        live = [(c, y) for c, y in enumerate(piv) if y != _ZQ]
         for r in range(k):
-            if r == col:
+            row = rows[r]
+            f = row[col]
+            if r == col or f == _ZQ:
                 continue
-            factor = work[r][col]
-            if not factor:
-                continue
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return MatD(params, aug)
+            g = mul(f, pc)
+            row = [(s * x0, s * x1, s * x2, s * x3) for x0, x1, x2, x3 in row]
+            for c, y in live:
+                x0, x1, x2, x3 = row[c]
+                y0, y1, y2, y3 = mul(g, y)
+                row[c] = (x0 - y0, x1 - y1, x2 - y2, x3 - y3)
+            d = math.gcd(*[x for q in row for x in q])
+            if d > 1:
+                row = [(x0 // d, x1 // d, x2 // d, x3 // d) for x0, x1, x2, x3 in row]
+            rows[r] = row
+    out = [None] * k
+    for j, row in enumerate(rows):
+        w = row[j]
+        n = norm(w)
+        wc = (w[0], -w[1], -w[2], -w[3])
+        out[perm[j]] = [
+            Quat._make(params, tuple(Fraction(x, n) for x in mul(wc, a))) for a in row[k:]
+        ]
+    return MatD(params, out)

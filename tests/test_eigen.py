@@ -25,6 +25,8 @@ from quatalg import (
     sextic_eigen_test,
 )
 
+from quatalg import matquat
+
 from conftest import rand_matd, rand_nonzero_quat, rand_quat
 from test_fast_paths import _mul_reference
 
@@ -114,6 +116,22 @@ def test_is_left_eigenvalue_examples():
     diag = MatD(H, [[I, zero], [zero, J]])
     assert is_left_eigenvalue(diag, I)
     assert not is_left_eigenvalue(MatD.identity(H, 2), Quat.scalar(H, 2))
+
+
+@pytest.mark.parametrize("ab", [(-1, -1), (-2, -3), (1, 1), (Fraction(1, 2), -5)], ids=str)
+def test_is_left_eigenvalue_matches_full_shift(ab):
+    # the diagonal-only shift against M - lam*I built from the identity
+    params = AlgebraParams(*ab)
+    rng = random.Random(33)
+    for k in (1, 2, 3, 4):
+        vec = (Quat.one(params),) + tuple(rand_quat(rng, params) for _ in range(k - 1))
+        lam = Quat(params, Fraction(1, 2), -1, 2, Fraction(-3, 5))
+        mat = plant_eigenpair(rand_matd(rng, k, params), vec, lam)
+        points = [lam, Quat.zero(params), rand_quat(rng, params), mat.entry(0, 0)]
+        for point in points:
+            assert matquat._shift(mat, point) == _shift(mat, point)
+            assert is_left_eigenvalue(mat, point) == (reduced_norm(_shift(mat, point)) == 0)
+        assert is_left_eigenvalue(mat, lam)
 
 
 def test_plant_eigenpair():

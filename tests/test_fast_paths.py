@@ -271,12 +271,18 @@ def test_generator_search_does_not_load_numpy():
 
 def test_products_do_not_load_numpy():
     # the parser multiplies GenPolys, and numeric eigcheck/nrd reach it
-    code = ("import sys; from quatalg import HAMILTON, MatD, parse_quat, quadratic_2x2, schur_sextic; "
+    code = ("import sys; from quatalg import HAMILTON, AlgebraParams, MatD, mat_inv, parse_quat, "
+            "quadratic_2x2, schur_sextic; "
             "q = parse_quat('1/2 + 3*i*j - k', HAMILTON); "
             "rows = [[parse_quat(f'{r} + {c}*i - j', HAMILTON) for c in range(4)] for r in range(4)]; "
             "rows[2][0] = rows[2][0] + q; "
             "assert quadratic_2x2(MatD(HAMILTON, [r[:2] for r in rows[:2]])).degree() == 2; "
             "assert schur_sextic(MatD(HAMILTON, rows)).sextic.degree() == 6; "
+            "split, rat = AlgebraParams(1, 1), AlgebraParams('1/2', -5); "
+            "m = MatD(split, [[parse_quat(t, split) for t in r] for r in (['1+i', '1'], ['1-i', '2'])]); "
+            "assert mat_inv(m) * m == MatD.identity(split, 2); "
+            "m = MatD(rat, [[parse_quat(t, rat) for t in r] for r in (['1/3+k', 'i'], ['j', '2'])]); "
+            "assert m * mat_inv(m) == MatD.identity(rat, 2); "
             "assert 'numpy' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 

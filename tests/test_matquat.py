@@ -186,6 +186,55 @@ def test_mat_inv_round_trip():
 DIFF_PARAMS = [(-1, -1), (-2, -3), (1, 1), (Fraction(1, 2), -5), (4, -3), (2, 3)]
 
 
+def _mat_inv_reference(mat: MatD) -> MatD:
+    # the Fraction Gauss-Jordan loop the integer kernel replaced
+    params = mat.params
+    k = mat.k
+    work = [list(row) for row in mat.rows]
+    aug = [list(row) for row in MatD.identity(params, k).rows]
+    for col in range(k):
+        pivot = None
+        for r in range(col, k):
+            if work[r][col].nrd() != 0:
+                pivot = r
+                break
+        if pivot is None:
+            raise NotInvertible("no invertible pivot in column %d" % col)
+        work[col], work[pivot] = work[pivot], work[col]
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = work[col][col].inv()
+        work[col] = [inv * x for x in work[col]]
+        aug[col] = [inv * x for x in aug[col]]
+        for r in range(k):
+            if r == col:
+                continue
+            factor = work[r][col]
+            if not factor:
+                continue
+            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+            aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return MatD(params, aug)
+
+
+def _check_inv(mat: MatD):
+    # equal to the reference wherever it returns; where it raises, either
+    # raise too or (complete pivoting) return a two-sided inverse
+    try:
+        expected = _mat_inv_reference(mat)
+    except NotInvertible:
+        expected = None
+    if expected is not None:
+        assert mat_inv(mat) == expected
+        return True
+    ident = MatD.identity(mat.params, mat.k)
+    try:
+        inv = mat_inv(mat)
+    except NotInvertible:
+        return False
+    assert mat * inv == ident and inv * mat == ident
+    return True
+
+
 def _cofactor_det(mat: MatK) -> KElem:
     # the symbolic cofactor engine on constant entries
     det = comm_det([[CommPoly.const(x) for x in row] for row in mat.rows])
@@ -238,6 +287,71 @@ def test_k_det_matches_cofactor_route(a):
     assert MatK(a, [[one, one + i], [i, KElem(a, 1, a)]]).det() == KElem.zero(a)
     with pytest.raises(DimensionMismatch):
         MatK(a, []).det()
+
+
+def _big_quat(rng, params, num, den):
+    return Quat(params, *[Fraction(rng.randint(-num, num), rng.randint(1, den)) for _ in range(4)])
+
+
+@pytest.mark.parametrize("ab", DIFF_PARAMS, ids=str)
+def test_mat_inv_fast_vs_generic(ab):
+    params = AlgebraParams(*ab)
+    rng = random.Random(31)
+    for k in range(1, 9):
+        cases = [MatD(params, [[_rand_rational_quat(rng, params) for _ in range(k)] for _ in range(k)])]
+        if k <= 6:
+            cases.append(rand_matd(rng, k, params))
+            # numerators up to 1e30; then denominators up to 1e30 as well
+            sizes = [(10**30, 5)] + ([(10**30, 10**30)] if k <= 3 else [])
+            cases += [MatD(params, [[_big_quat(rng, params, num, den) for _ in range(k)]
+                                    for _ in range(k)]) for num, den in sizes]
+        for mat in cases:
+            assert _check_inv(mat) == (reduced_norm(mat) != 0)
+    zero = Quat.zero(params)
+    for k in range(1, 6):
+        for mat in list(_diff_cases(rng, params, k))[2:] + [MatD.zeros(params, k)]:
+            # singular: a row that is a left multiple of another, a zero column
+            assert reduced_norm(mat) == 0
+            with pytest.raises(NotInvertible):
+                mat_inv(mat)
+            with pytest.raises(NotInvertible):
+                _mat_inv_reference(mat)
+    assert mat_inv(MatD(params, [])) == MatD(params, [])
+    assert mat_inv(MatD(params, [[zero, Quat.one(params)], [Quat.one(params), zero]])) == \
+        MatD(params, [[zero, Quat.one(params)], [Quat.one(params), zero]])
+
+
+def test_mat_inv_pivots_past_a_norm_zero_column():
+    params = AlgebraParams(1, 1)
+    one = Quat.one(params)
+    p, q = Quat(params, 1, 1, 0, 0), Quat(params, 1, -1, 0, 0)
+    # column 0 holds only zero divisors, column 1 does not
+    mat = MatD(params, [[p, one], [q, 2 * one]])
+    assert reduced_norm(mat) != 0
+    with pytest.raises(NotInvertible):
+        _mat_inv_reference(mat)
+    inv = mat_inv(mat)
+    ident = MatD.identity(params, 2)
+    assert mat * inv == ident and inv * mat == ident
+    # a 3x3 whose first two columns hold only zero divisors (j + ij has norm 0)
+    r = Quat(params, 0, 0, 1, 1)
+    mat = MatD(params, [[p, p, one], [q, r, 2 * one], [p, q, 3 * one]])
+    assert reduced_norm(mat) == 32
+    inv = mat_inv(mat)
+    ident = MatD.identity(params, 3)
+    assert mat * inv == ident and inv * mat == ident
+    # the swap at column 1 must move the entries of the row above too
+    zero = Quat.zero(params)
+    mat = MatD(params, [[one, Quat.basis(params, 2), Quat(params, 2, 0, 0, 1)],
+                        [zero, p, one], [zero, q, 2 * one]])
+    assert reduced_norm(mat) != 0
+    with pytest.raises(NotInvertible):
+        _mat_inv_reference(mat)
+    inv = mat_inv(mat)
+    assert mat * inv == ident and inv * mat == ident
+    # every entry has norm zero: still refused, though nrd = -16
+    with pytest.raises(NotInvertible):
+        mat_inv(MatD(params, [[p, q], [q, p]]))
 
 
 def test_reduced_norm_of_split_example():
@@ -301,3 +415,24 @@ def test_reduced_norm_matches_complex_adjoint_oracle():
     for k in range(1, 7):
         for mat in _diff_cases(rng, H, k):
             assert reduced_norm(mat) == _complex_adjoint_det(mat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_mat_inv_two_sided_property(data):
+    ab = data.draw(st.sampled_from([(-2, -3), (1, 1), (Fraction(1, 2), -5), (4, -3), (2, 3)]))
+    params = AlgebraParams(*ab)
+    k = data.draw(st.integers(1, 4))
+    a = data.draw(_matrices(params, k))
+    ident = MatD.identity(params, k)
+    if reduced_norm(a) == 0:
+        with pytest.raises(NotInvertible):
+            mat_inv(a)
+        return
+    try:
+        inv = mat_inv(a)
+    except NotInvertible:
+        # only split algebras have nonzero entries of norm zero
+        assert ab in ((1, 1), (4, -3))
+        return
+    assert a * inv == ident and inv * a == ident
